@@ -19,7 +19,9 @@ The committed ``BENCH_dse.json`` doubles as the regression baseline:
 screen throughput more than ``ALLOWED_REGRESSION`` below the committed
 value fails the run (wall-clock speedup is also recorded but gated only
 against its hard floor — it is a ratio of two measured times and noisy
-on loaded machines). Regenerate with ``REPRO_BENCH_UPDATE=1``.
+on loaded machines). Each run writes its numbers to the git-ignored
+``BENCH_dse.run.json``; only ``REPRO_BENCH_UPDATE=1`` rewrites the
+committed baseline (and skips the comparison).
 """
 
 import json
@@ -59,6 +61,9 @@ MIN_SCREEN_POINTS_PER_SEC = 1_000.0
 ALLOWED_REGRESSION = 0.30
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
+#: This run's numbers (git-ignored); the committed baseline above is
+#: rewritten only under ``REPRO_BENCH_UPDATE=1``.
+RUN_PATH = BENCH_PATH.with_suffix(".run.json")
 
 
 def _grid_kwargs():
@@ -161,10 +166,13 @@ def test_writes_bench_json(measurements):
         "python": sys.version.split()[0],
         "machine": platform.machine(),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True)
-                          + "\n")
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    RUN_PATH.write_text(text)
+    print(f"\nwrote {RUN_PATH}")
+    if os.environ.get("REPRO_BENCH_UPDATE"):
+        BENCH_PATH.write_text(text)
+        print(f"wrote {BENCH_PATH}")
     h, f = payload["hierarchical"], payload["flat"]
-    print(f"\nwrote {BENCH_PATH}")
     print(f"  grid: {payload['grid']['points']} points, "
           f"screen {h['screen_points_per_sec']:,} points/sec")
     print(f"  hierarchical: {h['confirmations']} sims in "

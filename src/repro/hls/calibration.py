@@ -17,9 +17,10 @@ global store           150   Table II store residual
 kernel base            239   vecadd row residual
 ==================  ======  =====================================
 
-``tools/fit_calibration.py`` refits the ALUT/FF coefficients from the
-published rows by non-negative least squares given the benchmark IRs in
-this repository; the values below are its output, frozen for
+The ALUT/FF coefficients below are frozen from an offline
+non-negative least-squares fit of the published rows, given the
+benchmark IRs in this repository. The script that ran that fit is not
+in the repository; the values are kept as constants for
 reproducibility.
 """
 
